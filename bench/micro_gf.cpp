@@ -1,8 +1,9 @@
 // Microbenchmarks (§IV-A): GF(2^w) region-multiply and XOR kernels — the
-// arithmetic inner loops of checkpoint encoding. The BM_Xor/BM_GfMul
-// families run on the dispatched (active) kernels; the <isa> variants
-// registered in main() pin each supported ISA so scalar-vs-SIMD speedup is
-// visible in one run (see EXPERIMENTS.md for a reference table).
+// arithmetic inner loops of checkpoint encoding — and the CRC64 kernel that
+// guards every frame and stored packet. The BM_Xor/BM_GfMul families run on
+// the dispatched (active) kernels; the <isa> variants registered in main()
+// pin each supported ISA so scalar-vs-SIMD speedup is visible in one run
+// (see EXPERIMENTS.md for a reference table).
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -110,6 +111,20 @@ void BM_GfMulRegionIsa(benchmark::State& state, gf::simd::Isa isa) {
                           static_cast<std::int64_t>(n));
 }
 
+void BM_Crc64Isa(benchmark::State& state, gf::simd::Isa isa) {
+  const gf::simd::Kernels& k = gf::simd::kernels_for(isa);
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  Buffer a(n, Buffer::Init::kUninitialized);
+  fill_random(a.span(), 4);
+  std::uint64_t reg = ~std::uint64_t{0};
+  for (auto _ : state) {
+    reg = k.crc64(reg, a.data(), n);
+    benchmark::DoNotOptimize(reg);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+}
+
 void register_isa_benchmarks() {
   for (gf::simd::Isa isa : gf::simd::supported_isas()) {
     const std::string tag = gf::simd::isa_name(isa);
@@ -121,6 +136,11 @@ void register_isa_benchmarks() {
         ("BM_GfMulRegionIsa<" + tag + ">").c_str(), BM_GfMulRegionIsa, isa);
     mul->Args({4, 65536})->Args({8, 65536})->Args({16, 65536});
     mul->Args({8, 1 << 20});
+    benchmark::RegisterBenchmark(("BM_Crc64Isa<" + tag + ">").c_str(),
+                                 BM_Crc64Isa, isa)
+        ->Arg(4096)
+        ->Arg(65536)
+        ->Arg(1 << 20);
   }
 }
 

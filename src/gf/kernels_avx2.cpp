@@ -2,10 +2,13 @@
 // registers (vpshufb shuffles within each 128-bit lane, which is exactly
 // what a broadcast 16-entry table wants). XOR gets an aligned fast path —
 // eccheck::Buffer allocations are 64-byte aligned, so whole-packet calls
-// peel at most a strip prefix and then run aligned loads/stores.
+// peel at most a strip prefix and then run aligned loads/stores. CRC64
+// folds 16-byte blocks with PCLMULQDQ (compiled with -mpclmul alongside
+// -mavx2; the dispatcher checks both cpuid bits).
 #include "gf/simd.hpp"
 
-#if (defined(__x86_64__) || defined(__i386__)) && defined(__AVX2__)
+#if (defined(__x86_64__) || defined(__i386__)) && defined(__AVX2__) && \
+    defined(__PCLMUL__)
 
 #include <immintrin.h>
 
@@ -148,7 +151,67 @@ void mul_w16(const MulTables& t, const std::byte* src, std::byte* dst,
     mul_w16_impl<false>(t, src, dst, n);
 }
 
-const Kernels kAvx2Kernels{Isa::kAvx2, &xor_into_avx2, &mul_b, &mul_w16};
+// CRC64 by carry-less folding. CRC-64/WE is MSB-first, so after a byte
+// reversal each 16-byte block is the polynomial with its first message bit
+// at x^127 and clmul products need no bit reflection. The register update
+// is reg·x^(8n) + M·x^64 mod P, so the incoming register is XORed into the
+// first 8 message bytes and the rest is the CRC of a plain message M. A
+// 128-bit state F stands for the bytes read so far: M ≡ F·x^(8r) + (the r
+// unread bytes) mod P. Folding d more bytes into F is F·x^(8d) + next =
+// clmul(F.hi, x^(8d+64) mod P) ^ clmul(F.lo, x^(8d) mod P) ^ next, each
+// product under 128 bits. The slice-by-8 kernel finishes from register 0
+// over F's 16 bytes (yielding F·x^64 mod P) and then the tail, so no
+// Barrett reduction constants are needed.
+//
+// Constants as (hi, lo) qwords for _mm_clmulepi64_si128 selectors 0x11 and
+// 0x00: x^576/x^512 mod P folds across 64 bytes (four lanes), x^192/x^128
+// mod P across 16.
+inline __m128i fold(__m128i a, __m128i k, __m128i next) {
+  return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(a, k, 0x11),
+                                     _mm_clmulepi64_si128(a, k, 0x00)),
+                       next);
+}
+
+std::uint64_t crc64_clmul(std::uint64_t reg, const std::byte* p,
+                          std::size_t n) {
+  if (n < 64) return crc64_slice8(reg, p, n);
+  const __m128i rev =
+      _mm_setr_epi8(15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0);
+  const auto load = [&](const std::byte* q) {
+    return _mm_shuffle_epi8(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(q)), rev);
+  };
+  const __m128i k64 = _mm_set_epi64x(
+      static_cast<long long>(0xddf4b6981205b83fULL),
+      static_cast<long long>(0x5f6843ca540df020ULL));
+  const __m128i k16 = _mm_set_epi64x(
+      static_cast<long long>(0x4eb938a7d257740eULL),
+      static_cast<long long>(0x05f5c3c7eb52fab6ULL));
+
+  __m128i a0 = _mm_xor_si128(load(p),
+                             _mm_set_epi64x(static_cast<long long>(reg), 0));
+  __m128i a1 = load(p + 16);
+  __m128i a2 = load(p + 32);
+  __m128i a3 = load(p + 48);
+  p += 64;
+  n -= 64;
+  for (; n >= 64; p += 64, n -= 64) {
+    a0 = fold(a0, k64, load(p));
+    a1 = fold(a1, k64, load(p + 16));
+    a2 = fold(a2, k64, load(p + 32));
+    a3 = fold(a3, k64, load(p + 48));
+  }
+  __m128i f = fold(fold(fold(a0, k16, a1), k16, a2), k16, a3);
+  for (; n >= 16; p += 16, n -= 16) f = fold(f, k16, load(p));
+
+  alignas(16) std::byte state[16];
+  _mm_store_si128(reinterpret_cast<__m128i*>(state),
+                  _mm_shuffle_epi8(f, rev));
+  return crc64_slice8(crc64_slice8(0, state, sizeof(state)), p, n);
+}
+
+const Kernels kAvx2Kernels{Isa::kAvx2, &xor_into_avx2, &mul_b, &mul_w16,
+                           &crc64_clmul};
 
 }  // namespace
 
@@ -156,7 +219,7 @@ const Kernels* avx2_kernels() { return &kAvx2Kernels; }
 
 }  // namespace eccheck::gf::simd::detail
 
-#else  // not x86 / no AVX2
+#else  // not x86 / no AVX2 + PCLMUL
 
 namespace eccheck::gf::simd::detail {
 const Kernels* avx2_kernels() { return nullptr; }

@@ -44,7 +44,7 @@ void xor_into_sse2(std::byte* dst, const std::byte* src, std::size_t n) {
 
 namespace {
 const Kernels kSse2Kernels{Isa::kSse2, &xor_into_sse2, &mul_region_b_scalar,
-                           &mul_region_w16_scalar};
+                           &mul_region_w16_scalar, &crc64_slice8};
 }  // namespace
 
 const Kernels* sse2_kernels() { return &kSse2Kernels; }

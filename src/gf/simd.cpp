@@ -1,5 +1,7 @@
 #include "gf/simd.hpp"
 
+#include <array>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -52,8 +54,59 @@ void mul_region_w16_scalar(const MulTables& t, const std::byte* src,
 }
 
 namespace {
+
+constexpr std::uint64_t kCrcPoly = 0x42f0e1eba9ea3693ULL;  // ECMA-182
+
+// t[k][b]: the register contribution of byte b followed by k zero bytes,
+// i.e. b·x^(64+8k) mod P. t[0] is the classic bytewise table.
+using Crc64Tables = std::array<std::array<std::uint64_t, 256>, 8>;
+
+constexpr Crc64Tables make_crc64_tables() {
+  Crc64Tables t{};
+  for (std::size_t b = 0; b < 256; ++b) {
+    std::uint64_t crc = static_cast<std::uint64_t>(b) << 56;
+    for (int i = 0; i < 8; ++i)
+      crc = (crc & (1ULL << 63)) ? (crc << 1) ^ kCrcPoly : (crc << 1);
+    t[0][b] = crc;
+  }
+  for (std::size_t k = 1; k < 8; ++k)
+    for (std::size_t b = 0; b < 256; ++b)
+      t[k][b] = (t[k - 1][b] << 8) ^ t[0][t[k - 1][b] >> 56];
+  return t;
+}
+
+// Built at compile time: no init-order hazard for static-storage callers.
+constexpr Crc64Tables kCrc64Tables = make_crc64_tables();
+
+std::uint64_t load_be64(const unsigned char* p) {
+  std::uint64_t v;
+  std::memcpy(&v, p, sizeof(v));
+  if constexpr (std::endian::native == std::endian::little)
+    v = __builtin_bswap64(v);
+  return v;
+}
+
+}  // namespace
+
+std::uint64_t crc64_slice8(std::uint64_t reg, const std::byte* p,
+                           std::size_t n) {
+  const auto& t = kCrc64Tables;
+  const auto* s = reinterpret_cast<const unsigned char*>(p);
+  // MSB-first: the first message byte meets the register's top byte and
+  // has the most zero bytes still to pass through, hence t[7].
+  for (; n >= 8; n -= 8, s += 8) {
+    const std::uint64_t x = reg ^ load_be64(s);
+    reg = t[7][x >> 56] ^ t[6][(x >> 48) & 0xff] ^ t[5][(x >> 40) & 0xff] ^
+          t[4][(x >> 32) & 0xff] ^ t[3][(x >> 24) & 0xff] ^
+          t[2][(x >> 16) & 0xff] ^ t[1][(x >> 8) & 0xff] ^ t[0][x & 0xff];
+  }
+  for (; n > 0; --n, ++s) reg = (reg << 8) ^ t[0][(reg >> 56) ^ *s];
+  return reg;
+}
+
+namespace {
 const Kernels kScalarKernels{Isa::kScalar, &xor_scalar, &mul_region_b_scalar,
-                             &mul_region_w16_scalar};
+                             &mul_region_w16_scalar, &crc64_slice8};
 }  // namespace
 
 }  // namespace detail
@@ -101,7 +154,10 @@ bool cpu_has(Isa isa) {
   switch (isa) {
     case Isa::kSse2: return __builtin_cpu_supports("sse2") != 0;
     case Isa::kSsse3: return __builtin_cpu_supports("ssse3") != 0;
-    case Isa::kAvx2: return __builtin_cpu_supports("avx2") != 0;
+    // The avx2 kernel set also folds CRC64 with PCLMULQDQ.
+    case Isa::kAvx2:
+      return __builtin_cpu_supports("avx2") != 0 &&
+             __builtin_cpu_supports("pclmul") != 0;
     default: return false;
   }
 #elif defined(__aarch64__)

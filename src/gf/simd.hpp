@@ -1,17 +1,20 @@
-// Runtime-dispatched XOR / GF(2^w) region kernels.
+// Runtime-dispatched XOR / GF(2^w) region kernels and CRC64.
 //
 // The encode hot path is two byte-level primitives: dst ^= src (XOR-reduce,
 // bitmatrix schedules) and dst (^)= c·src over packed GF(2^w) symbols
-// (Cauchy-RS partial products). This layer provides vectorized
-// implementations of both behind a one-time-probed dispatch table:
+// (Cauchy-RS partial products). The integrity path adds a third: CRC64 over
+// every frame, stored packet and load scrub. This layer provides vectorized
+// implementations behind a one-time-probed dispatch table:
 //
-//   scalar — portable uint64/table loops, the bit-exact reference
+//   scalar — portable uint64/table loops, the bit-exact reference;
+//            CRC64 is slice-by-8 (8×256 tables, 8 bytes per step)
 //   sse2   — 128-bit XOR; multiplies stay on the scalar table loop
 //            (no byte shuffle before SSSE3)
 //   ssse3  — 128-bit XOR + 4-bit split-table multiply via pshufb
 //            (GF-Complete / ISA-L style)
-//   avx2   — the same with 256-bit registers
-//   neon   — aarch64 vtbl/veor equivalents
+//   avx2   — the same with 256-bit registers, plus PCLMULQDQ CRC folding
+//            (the ISA also requires the pclmul cpuid bit)
+//   neon   — aarch64 vtbl/veor equivalents; CRC64 stays slice-by-8
 //
 // The active ISA is probed once per process (cpuid via
 // __builtin_cpu_supports on x86, unconditional NEON on aarch64) and can be
@@ -77,6 +80,11 @@ struct Kernels {
   void (*mul_region_w16)(const MulTables& t, const std::byte* src,
                          std::byte* dst, std::size_t n, bool accumulate) =
       nullptr;
+  /// CRC-64/WE (ECMA-182, MSB-first) register update over n bytes: returns
+  /// reg·x^(8n) + M·x^64 mod P. Works on the raw register, without the
+  /// init/final inversion eccheck::crc64 applies. Any alignment, n >= 0.
+  std::uint64_t (*crc64)(std::uint64_t reg, const std::byte* p,
+                         std::size_t n) = nullptr;
 };
 
 const char* isa_name(Isa isa);
@@ -125,6 +133,9 @@ void mul_region_b_scalar(const MulTables& t, const std::byte* src,
                          std::byte* dst, std::size_t n, bool accumulate);
 void mul_region_w16_scalar(const MulTables& t, const std::byte* src,
                            std::byte* dst, std::size_t n, bool accumulate);
+// Slice-by-8 CRC64 register update; also the tail/finish of the CLMUL fold.
+std::uint64_t crc64_slice8(std::uint64_t reg, const std::byte* p,
+                           std::size_t n);
 }  // namespace detail
 
 }  // namespace eccheck::gf::simd

@@ -87,6 +87,12 @@ inline constexpr std::uint64_t kMaxPayloadLen = 1ull << 31;
 /// callers control whether it rides in the same write.
 void encode_frame_header(const FrameHeader& h, std::uint8_t* out);
 
+/// Serialize the whole frame head of `h` — header [+trace context] [+key] —
+/// into one buffer. The payload never rides here: the data plane sends it
+/// as its own writev slice, the control plane as a second write. This is
+/// the one encoder both planes use, so their frames stay byte-identical.
+Buffer encode_frame_head(const FrameHeader& h);
+
 /// Serialize h.trace into `out[kTraceContextBytes]`.
 void encode_trace_context(const WireTraceContext& t, std::uint8_t* out);
 

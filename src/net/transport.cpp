@@ -269,19 +269,6 @@ SocketTransport::InConn& SocketTransport::conn_from(int peer) {
   }
 }
 
-Buffer SocketTransport::build_head(const FrameHeader& h) const {
-  const bool traced = h.trace.trace_id != 0;
-  const std::size_t trace_bytes = traced ? kTraceContextBytes : 0;
-  Buffer head(kFrameHeaderBytes + trace_bytes + h.key.size(),
-              Buffer::Init::kUninitialized);
-  std::uint8_t* p = reinterpret_cast<std::uint8_t*>(head.data());
-  encode_frame_header(h, p);
-  if (traced) encode_trace_context(h.trace, p + kFrameHeaderBytes);
-  std::memcpy(p + kFrameHeaderBytes + trace_bytes, h.key.data(),
-              h.key.size());
-  return head;
-}
-
 void SocketTransport::reap_acks(OutConn& c, std::size_t target,
                                 const std::string& ctx) {
   while (c.window.size() > target) {
@@ -416,7 +403,7 @@ void SocketTransport::send_frame(int dst, FrameType type,
       h.trace.parent_span = span.span_id();
       h.trace.op = static_cast<std::uint32_t>(type);
     }
-    const Buffer head = build_head(h);
+    const Buffer head = encode_frame_head(h);
 
     Buffer mangled;  // must outlive the write below
     ByteSpan wire_payload = payload;
@@ -486,7 +473,7 @@ void SocketTransport::pump_frames(std::vector<PumpFrame> frames,
       f.header.trace.op = static_cast<std::uint32_t>(f.header.type);
     }
     pump.enqueue(f.peer, &c, who(std::string(what) + " to", f.peer),
-                 build_head(f.header), f.payload, std::move(f.owned),
+                 encode_frame_head(f.header), f.payload, std::move(f.owned),
                  f.header.payload_crc);
   }
   const std::vector<SendPump::Failure> failures = pump.run();
@@ -622,6 +609,9 @@ void SocketTransport::broadcast(const std::vector<int>& nodes, int root,
       // bounded by its own progress deadline — a dead peer no longer
       // serializes the broadcast behind its timeout.
       const Buffer& payload = store_.get(key);
+      // One CRC for every peer: the frames share the same const payload, and
+      // a chaos-corrupted copy must still carry the clean CRC.
+      const std::uint64_t payload_crc = crc64(payload.span());
       std::vector<PumpFrame> frames;
       frames.reserve(fan_out);
       for (int dst : nodes) {
@@ -631,7 +621,7 @@ void SocketTransport::broadcast(const std::vector<int>& nodes, int root,
         f.header.type = FrameType::kPut;
         f.header.key = key;
         f.header.payload_len = payload.size();
-        f.header.payload_crc = crc64(payload.span());
+        f.header.payload_crc = payload_crc;
         f.payload = payload.span();
         if (corrupt_next_ && !payload.empty()) {
           corrupt_next_ = false;

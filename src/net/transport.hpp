@@ -209,10 +209,6 @@ class SocketTransport final : public cluster::Fabric {
   /// for later.
   InConn& conn_from(int peer);
 
-  /// Serialize header [+trace context] [+key] of `h` into one buffer (the
-  /// payload never rides here — it goes out as its own writev slice).
-  Buffer build_head(const FrameHeader& h) const;
-
   /// One data frame to `dst`: header+key+payload out (scatter-gather when
   /// enabled), then reconcile CRC-echo acks until fewer than `window`
   /// remain outstanding on the connection. window=1 is stop-and-wait —

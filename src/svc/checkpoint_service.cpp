@@ -6,7 +6,6 @@
 #include <charconv>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <iomanip>
 #include <limits>
 #include <sstream>
@@ -148,16 +147,7 @@ void send_control(const net::Socket& s, net::FrameType type,
       h.trace.op = static_cast<std::uint32_t>(type);
     }
   }
-  const std::size_t trace_bytes =
-      h.trace.trace_id != 0 ? net::kTraceContextBytes : 0;
-
-  std::vector<std::uint8_t> head(net::kFrameHeaderBytes + trace_bytes +
-                                 key.size());
-  net::encode_frame_header(h, head.data());
-  if (trace_bytes > 0)
-    net::encode_trace_context(h.trace, head.data() + net::kFrameHeaderBytes);
-  std::memcpy(head.data() + net::kFrameHeaderBytes + trace_bytes, key.data(),
-              key.size());
+  const Buffer head = net::encode_frame_head(h);
   net::write_full(s, head.data(), head.size(), io_timeout, ctx);
   if (!payload.empty())
     net::write_full(s, payload.data(), payload.size(), io_timeout, ctx);

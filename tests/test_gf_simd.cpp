@@ -1,8 +1,9 @@
 // Differential tests for the runtime-dispatched SIMD kernels: every ISA the
 // host supports must be bit-exact with the scalar reference for xor_into and
 // mul_region, across odd/prime region sizes, misaligned buffers, accumulate
-// on/off, and all three symbol widths. Also covers the dispatch machinery
-// (probe/override sanity) and the per-constant table cache.
+// on/off, and all three symbol widths, and with a bytewise CRC64 loop for
+// the crc64 kernel. Also covers the dispatch machinery (probe/override
+// sanity) and the per-constant table cache.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "common/crc64.hpp"
 #include "common/rng.hpp"
 #include "gf/galois.hpp"
 #include "gf/simd.hpp"
@@ -44,6 +46,7 @@ TEST_P(SimdIsaTest, KernelsForReturnsRequestedIsa) {
   EXPECT_NE(k().xor_into, nullptr);
   EXPECT_NE(k().mul_region_b, nullptr);
   EXPECT_NE(k().mul_region_w16, nullptr);
+  EXPECT_NE(k().crc64, nullptr);
 }
 
 TEST_P(SimdIsaTest, XorIntoMatchesScalar) {
@@ -156,6 +159,95 @@ TEST_P(SimdIsaTest, MulRegionMatchesScalarSymbolMultiply) {
         }
       }
     }
+  }
+}
+
+// The bytewise table loop the dispatched kernels replaced: the reference
+// every ISA's crc64 must reproduce, register in and register out.
+std::uint64_t crc64_bytewise(std::uint64_t reg, const std::byte* p,
+                             std::size_t n) {
+  static const auto table = [] {
+    std::vector<std::uint64_t> t(256);
+    for (std::uint64_t i = 0; i < 256; ++i) {
+      std::uint64_t crc = i << 56;
+      for (int b = 0; b < 8; ++b)
+        crc = (crc & (1ULL << 63)) ? (crc << 1) ^ 0x42f0e1eba9ea3693ULL
+                                   : (crc << 1);
+      t[i] = crc;
+    }
+    return t;
+  }();
+  for (std::size_t i = 0; i < n; ++i)
+    reg = (reg << 8) ^
+          table[((reg >> 56) ^ static_cast<std::uint64_t>(p[i])) & 0xff];
+  return reg;
+}
+
+TEST_P(SimdIsaTest, Crc64MatchesBytewiseEveryShortLengthAndOffset) {
+  // Every length 0..200 crosses the 16-byte block, 64-byte lane and
+  // 128-byte (two-stride) edges of the folding kernel at every offset.
+  constexpr std::size_t kMaxLen = 200;
+  Buffer buf(kMaxLen + 64, Buffer::Init::kUninitialized);
+  fill_random(buf.span(), 11);
+  SplitMix64 rng(12);
+  for (std::size_t n = 0; n <= kMaxLen; ++n) {
+    for (std::size_t off = 0; off < 64; ++off) {
+      const std::uint64_t reg = rng.next();
+      const std::byte* p = buf.data() + off;
+      ASSERT_EQ(k().crc64(reg, p, n), crc64_bytewise(reg, p, n))
+          << simd::isa_name(GetParam()) << " n=" << n << " off=" << off;
+    }
+  }
+}
+
+TEST_P(SimdIsaTest, Crc64MatchesBytewiseRandomLengthsUpTo1MiB) {
+  constexpr std::size_t kMaxLen = std::size_t{1} << 20;
+  Buffer buf(kMaxLen + 64, Buffer::Init::kUninitialized);
+  fill_random(buf.span(), 21);
+  SplitMix64 rng(22);
+  for (int i = 0; i < 48; ++i) {
+    const std::size_t n =
+        i == 0 ? kMaxLen : static_cast<std::size_t>(rng.next_below(kMaxLen));
+    const std::size_t off = static_cast<std::size_t>(rng.next_below(64));
+    const std::uint64_t reg = rng.next();
+    const std::byte* p = buf.data() + off;
+    ASSERT_EQ(k().crc64(reg, p, n), crc64_bytewise(reg, p, n))
+        << simd::isa_name(GetParam()) << " n=" << n << " off=" << off;
+  }
+}
+
+TEST_P(SimdIsaTest, Crc64KnownAnswer) {
+  // CRC-64/WE check value; eccheck::crc64 inverts the register on entry
+  // and exit.
+  const char msg[] = "123456789";
+  const auto* p = reinterpret_cast<const std::byte*>(msg);
+  EXPECT_EQ(~k().crc64(~std::uint64_t{0}, p, 9), 0x62ec59e3f1a4f00aULL);
+}
+
+TEST_P(SimdIsaTest, Crc64ChainsAcrossSplits) {
+  // StateDict::digest folds tensors one after another through the seed:
+  // crc64(b, crc64(a)) must equal crc64(a‖b) for any split point.
+  Buffer buf(4096 + 61, Buffer::Init::kUninitialized);
+  fill_random(buf.span(), 31);
+  const std::byte* p = buf.data();
+  const std::size_t n = buf.size();
+  const std::uint64_t whole = k().crc64(~std::uint64_t{0}, p, n);
+  for (std::size_t cut : {std::size_t{0}, std::size_t{1}, std::size_t{15},
+                          std::size_t{64}, std::size_t{100},
+                          std::size_t{2048}, n - 17, n}) {
+    const std::uint64_t head = k().crc64(~std::uint64_t{0}, p, cut);
+    EXPECT_EQ(k().crc64(head, p + cut, n - cut), whole) << "cut=" << cut;
+    const ByteSpan a(p, cut), b(p + cut, n - cut);
+    EXPECT_EQ(crc64(b, crc64(a)), crc64(buf.span())) << "cut=" << cut;
+  }
+}
+
+TEST_P(SimdIsaTest, Crc64EmptyInputReturnsSeed) {
+  SplitMix64 rng(41);
+  for (int i = 0; i < 8; ++i) {
+    const std::uint64_t reg = rng.next();
+    EXPECT_EQ(k().crc64(reg, nullptr, 0), reg);
+    EXPECT_EQ(crc64({}, reg), reg);
   }
 }
 
