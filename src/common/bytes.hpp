@@ -3,6 +3,13 @@
 // Buffers are 64-byte aligned so XOR/GF region kernels can assume aligned
 // word access, and zero-initialisation is explicit (parity buffers must start
 // zeroed; data buffers may skip the cost).
+//
+// Large blocks are recycled: every save allocates the same packet, segment
+// and frame sizes as the last one and drops an old version of the same
+// shape, so a freed block of at least kRecycleMinBytes is parked in a
+// bounded per-process free list and handed to the next Buffer of exactly
+// that size. Steady-state saves then touch no fresh pages, and their cost no
+// longer depends on where malloc happened to trim or map its heap.
 #pragma once
 
 #include <cstddef>
@@ -19,6 +26,36 @@ namespace eccheck {
 using ByteSpan = std::span<const std::byte>;
 using MutableByteSpan = std::span<std::byte>;
 
+namespace detail {
+/// Buffer storage: blocks of at least kRecycleMinBytes come from the recycle
+/// list when a block of exactly `n` bytes is parked there.
+std::byte* allocate_bytes(std::size_t n);
+/// Parks a large block (oldest parked blocks are freed once the list holds
+/// more than kRecycleCapBytes); smaller blocks go straight back to the heap.
+void release_bytes(std::byte* p, std::size_t n) noexcept;
+}  // namespace detail
+
+/// Smallest block the recycle list keeps, and the most it holds in total.
+inline constexpr std::size_t kRecycleMinBytes = std::size_t{64} << 10;
+inline constexpr std::size_t kRecycleCapBytes = std::size_t{128} << 20;
+
+/// AddressSanitizer must see every free, or a use-after-free of a parked
+/// block would go unreported: sanitized builds skip the recycle list.
+#if defined(__SANITIZE_ADDRESS__)
+inline constexpr bool kRecycleBuffers = false;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+inline constexpr bool kRecycleBuffers = false;
+#else
+inline constexpr bool kRecycleBuffers = true;
+#endif
+#else
+inline constexpr bool kRecycleBuffers = true;
+#endif
+
+/// Bytes currently parked in the recycle list (for tests and diagnostics).
+std::size_t recycled_bytes();
+
 /// Owned, 64-byte-aligned, fixed-size byte buffer.
 class Buffer {
  public:
@@ -28,8 +65,7 @@ class Buffer {
 
   explicit Buffer(std::size_t size, Init init = Init::kZeroed) : size_(size) {
     if (size_ == 0) return;
-    data_.reset(static_cast<std::byte*>(
-        ::operator new[](size_, std::align_val_t{kAlignment})));
+    data_ = Storage(detail::allocate_bytes(size_), Release{size_});
     if (init == Init::kZeroed) std::memset(data_.get(), 0, size_);
   }
 
@@ -76,12 +112,12 @@ class Buffer {
   static constexpr std::size_t kAlignment = 64;
 
  private:
-  struct AlignedDelete {
-    void operator()(std::byte* p) const {
-      ::operator delete[](p, std::align_val_t{kAlignment});
-    }
+  struct Release {
+    std::size_t size;
+    void operator()(std::byte* p) const { detail::release_bytes(p, size); }
   };
-  std::unique_ptr<std::byte[], AlignedDelete> data_;
+  using Storage = std::unique_ptr<std::byte[], Release>;
+  Storage data_;
   std::size_t size_ = 0;
 };
 

@@ -105,6 +105,11 @@ void tune(int fd, const Endpoint& ep) {
   if (ep.kind == Endpoint::Kind::kTcp) {
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  } else {
+    // Frames flow from the connecting side; the accepting side only sends
+    // acks back. Best effort: a refused size leaves the default.
+    const int bytes = kUdsSendBufferBytes;
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &bytes, sizeof(bytes));
   }
 }
 

@@ -104,11 +104,21 @@ constexpr bool connect_pending(int err) {
 }
 }  // namespace detail
 
+/// SO_SNDBUF requested on connected Unix-domain sockets (the kernel doubles
+/// it and caps it at 2 × net.core.wmem_max). The Linux default of ~208 KiB
+/// holds a fifth of a 1 MiB packet frame, so every frame became a
+/// rendezvous: the sender slept until the receiver had drained most of it.
+/// With room for several frames a sender finishes its write and moves on,
+/// and each rank sleeps about a third as often per save. TCP keeps its
+/// autotuned buffers.
+inline constexpr int kUdsSendBufferBytes = 4 << 20;
+
 /// Connect to `ep`, retrying ECONNREFUSED/ENOENT (listener not up yet) with
 /// exponential backoff: attempt i sleeps min(backoff_base·2^i, backoff_max)
 /// before retrying, up to `retries` retries. Each individual attempt is
 /// bounded by `connect_timeout`. Throws CheckFailure once the budget is
-/// exhausted — a peer that never comes up is a dead peer.
+/// exhausted — a peer that never comes up is a dead peer. A UDS connection
+/// gets kUdsSendBufferBytes of send buffer.
 /// `retry_count`, when non-null, accumulates the number of retries taken.
 Socket connect_with_retry(const Endpoint& ep, Millis connect_timeout,
                           int retries, Millis backoff_base, Millis backoff_max,

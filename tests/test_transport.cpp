@@ -419,6 +419,37 @@ TEST(SocketTransport, TcpNodelayAppliedOnBothConnectedAndAcceptedSockets) {
   }
 }
 
+// Data frames leave on connected UDS sockets; with the kernel's ~208 KiB
+// default each 1 MiB frame stalls its sender until the receiver drains it.
+// The connect side asks for kUdsSendBufferBytes, which the kernel doubles
+// and caps at 2 × net.core.wmem_max.
+TEST(SocketTransport, UdsConnectedSocketsGetTheLargerSendBuffer) {
+  TempDir dir;
+  std::vector<std::unique_ptr<net::SocketTransport>> t;
+  const auto eps = uds_endpoints(dir, 2);
+  for (int r = 0; r < 2; ++r)
+    t.push_back(std::make_unique<net::SocketTransport>(r, eps, fast_opts(dir)));
+  run_ranks(2, [&](int rank) { t[rank]->barrier({0, 1}); });
+
+  auto sndbuf = [](int fd) {
+    int v = 0;
+    socklen_t len = sizeof(v);
+    EXPECT_EQ(::getsockopt(fd, SOL_SOCKET, SO_SNDBUF, &v, &len), 0);
+    return v;
+  };
+  long wmem_max = 0;
+  std::ifstream("/proc/sys/net/core/wmem_max") >> wmem_max;
+  for (int rank = 0; rank < 2; ++rank) {
+    const int out = sndbuf(t[rank]->debug_outbound_fd(1 - rank));
+    const int in = sndbuf(t[rank]->debug_inbound_fd(1 - rank));
+    EXPECT_GE(out, in) << "rank " << rank;
+    if (wmem_max > 0) {
+      EXPECT_EQ(out, 2 * std::min<long>(net::kUdsSendBufferBytes, wmem_max))
+          << "rank " << rank;
+    }
+  }
+}
+
 // EINTR from a non-blocking connect(2) means the connection proceeds in the
 // background (POSIX) — it must take the EINPROGRESS poll path, not abort a
 // healthy startup just because a signal landed.
