@@ -291,17 +291,23 @@ ckpt::SaveReport fabric_save(cluster::Fabric& fabric, const ECCheckConfig& cfg,
   rep.breakdown["step2_metadata_broadcast"] = since(t0);
 
   // Uniform packets-per-worker so reduction groups align (§III-C). Every
-  // rank derives B from the full set of tensor-keys blobs it now holds, so
-  // all ranks agree without another collective.
+  // rank derives B — and which of each worker's B packet slots carry real
+  // bytes rather than zero padding — from the full set of tensor-keys blobs
+  // it now holds, so all ranks agree without another collective.
   const int home = home_node(fabric, act);
   std::size_t B = 1;
+  std::vector<std::size_t> used(static_cast<std::size_t>(W));  // w → packets
   for (int w = 0; w < W; ++w) {
     const auto tkeys = dnn::deserialize_tensor_keys(
         fabric.store(home).get(keys_key(ns, version, w)).span());
     std::size_t bytes = 0;
     for (const auto& tm : tkeys) bytes += tm.nbytes();
-    B = std::max(B, packets_needed(bytes, P));
+    used[static_cast<std::size_t>(w)] = packets_needed(bytes, P);
+    B = std::max(B, used[static_cast<std::size_t>(w)]);
   }
+  auto padding = [&](int w, int b) {
+    return static_cast<std::size_t>(b) >= used[static_cast<std::size_t>(w)];
+  };
 
   // Pack each sited worker's tensor bytes into B fixed-size packets.
   for (const auto& [w, dec] : decs) {
@@ -533,7 +539,8 @@ ckpt::SaveReport fabric_save(cluster::Fabric& fabric, const ECCheckConfig& cfg,
   // ---- Step 3a: relocate data packets to their data nodes ----------------
   // A row homed on a dead rank is skipped entirely: the degraded stripe
   // keeps the n_alive ≥ k rows hosted by survivors (reduced redundancy —
-  // any k of them still decode), rather than blocking the save.
+  // any k of them still decode), rather than blocking the save. A padding
+  // slot never travels: its data node materialises the zero packet itself.
   if (!delta_used) {
   for (int j = 0; j < per_chunk; ++j) {
     for (int b = 0; b < static_cast<int>(B); ++b) {
@@ -544,7 +551,9 @@ ckpt::SaveReport fabric_save(cluster::Fabric& fabric, const ECCheckConfig& cfg,
         if (!members.is_alive(dst)) continue;
         const std::string lk = local_key(ns, version, wsrc, b);
         const std::string rk = row_key(ns, version, c, j, b);
-        if (src == dst) {
+        if (padding(wsrc, b)) {
+          if (fabric.drives(dst)) fabric.store(dst).put(rk, Buffer(P));
+        } else if (src == dst) {
           if (fabric.drives(src))
             fabric.store(src).put(rk, fabric.store(src).get(lk).clone());
         } else {
@@ -554,29 +563,29 @@ ckpt::SaveReport fabric_save(cluster::Fabric& fabric, const ECCheckConfig& cfg,
     }
   }
 
-  // ---- Step 3b: parity = XOR all-reduce of per-participant partials ------
-  // Each participant computes its GF partial product locally; the XOR
-  // all-reduce folds them (GF addition is XOR, so this is bit-identical to
-  // the simulator's serial accumulation); the node hosting the reduction
-  // target forwards the finished packet to its parity node.
+  // ---- Step 3b: parity = XOR reduce of partials onto the parity node -----
+  // Each participant site computes its GF partial product locally and ships
+  // it straight to the parity node, which XORs the partials together (GF
+  // addition is XOR, so this is bit-identical to the simulator's serial
+  // accumulation): one hop per remote participant, the §IV-B volume.
+  // Participants sited together (adoption can fold several dead
+  // participants onto one survivor) pre-accumulate locally — XOR is
+  // commutative and associative, so the grouping cannot change the bytes.
+  // A padding participant contributes G·0 = 0 and is skipped; a parity
+  // packet without any real participant is zero. A parity row homed on a
+  // dead rank is not produced at all.
   for (int j = 0; j < per_chunk; ++j) {
     for (int b = 0; b < static_cast<int>(B); ++b) {
       for (int r = 0; r < cfg.m; ++r) {
         const auto& op =
             plan.reductions[static_cast<std::size_t>(j * cfg.m + r)];
-        const std::string pkey = tmp_prefix(ns, version) + "partial/" +
-                                 std::to_string(j) + "/" + std::to_string(b) +
-                                 "/" + std::to_string(r);
-        // Participants sited together (adoption can fold several dead
-        // participants onto one survivor) pre-accumulate their GF partials
-        // locally before the ring — XOR is commutative and associative, so
-        // the grouping cannot change the reduced bytes. Under full
-        // membership every participant is its own site and this is the
-        // historical one-partial-per-node behaviour.
+        const int dest = op.dest_node;
+        if (!members.is_alive(dest)) continue;
         std::vector<int> psites;  // deduped, first-appearance order
         std::map<int, Buffer> partials;  // site → local accumulation
         for (int c = 0; c < cfg.k; ++c) {
           const int pw = op.participants[static_cast<std::size_t>(c)];
+          if (padding(pw, b)) continue;
           const int ps = members.site(pw / g);
           const bool seen =
               std::find(psites.begin(), psites.end(), ps) != psites.end();
@@ -592,23 +601,35 @@ ckpt::SaveReport fabric_save(cluster::Fabric& fabric, const ECCheckConfig& cfg,
                 it->second.span(), /*accumulate=*/seen);
           }
         }
-        for (auto& [ps, part] : partials)
-          fabric.store(ps).put(pkey, std::move(part));
-        if (psites.size() > 1) fabric.ring_all_reduce_xor(psites, pkey);
-
-        const int tsite = members.site(op.target_worker / g);
-        if (members.is_alive(op.dest_node)) {
-          const std::string rk = row_key(ns, version, cfg.k + r, j, b);
-          if (tsite == op.dest_node) {
-            if (fabric.drives(tsite))
-              fabric.store(tsite).put(rk,
-                                      fabric.store(tsite).get(pkey).clone());
-          } else {
-            fabric.send_buffer(tsite, op.dest_node, pkey, rk);
-          }
+        auto pkey = [&](int ps) {
+          return tmp_prefix(ns, version) + "partial/" + std::to_string(j) +
+                 "/" + std::to_string(b) + "/" + std::to_string(r) + "/" +
+                 std::to_string(ps);
+        };
+        for (int ps : psites) {
+          if (ps == dest) continue;
+          const std::string key = pkey(ps);
+          if (fabric.drives(ps))
+            fabric.store(ps).put(key, std::move(partials.at(ps)));
+          fabric.send_buffer(ps, dest, key, key);
+          if (fabric.drives(ps)) fabric.store(ps).erase(key);
         }
-        for (int ps : psites)
-          if (fabric.drives(ps)) fabric.store(ps).erase(pkey);
+        if (fabric.drives(dest)) {
+          cluster::Store& store = fabric.store(dest);
+          auto own = partials.find(dest);
+          Buffer acc = own != partials.end() ? std::move(own->second)
+                                             : Buffer();
+          for (int ps : psites) {
+            if (ps == dest) continue;
+            Buffer part = store.take(pkey(ps));
+            if (acc.empty())
+              acc = std::move(part);
+            else
+              xor_into(acc.span(), part.span());
+          }
+          if (acc.empty()) acc = Buffer(P);  // every participant is padding
+          store.put(row_key(ns, version, cfg.k + r, j, b), std::move(acc));
+        }
       }
     }
   }

@@ -29,10 +29,12 @@ std::vector<Buffer> pack_packets(const std::vector<ByteSpan>& tensor_data,
                 "payload " << total << " B does not fit in " << num_packets
                            << " packets of " << packet_size << " B");
 
+  // Uninitialized: the payload overwrites every byte except the last used
+  // packet's tail and the all-padding packets, which are zeroed below.
   std::vector<Buffer> packets;
   packets.reserve(num_packets);
   for (std::size_t i = 0; i < num_packets; ++i)
-    packets.emplace_back(packet_size, Buffer::Init::kZeroed);
+    packets.emplace_back(packet_size, Buffer::Init::kUninitialized);
 
   std::size_t pkt = 0, off = 0;
   for (const auto& src : tensor_data) {
@@ -49,6 +51,8 @@ std::vector<Buffer> pack_packets(const std::vector<ByteSpan>& tensor_data,
       }
     }
   }
+  if (off != 0) std::memset(packets[pkt++].data() + off, 0, packet_size - off);
+  for (; pkt < num_packets; ++pkt) packets[pkt].zero();
   return packets;
 }
 

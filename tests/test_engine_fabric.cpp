@@ -22,8 +22,10 @@
 #include <vector>
 
 #include "cluster/fabric.hpp"
+#include "common/rng.hpp"
 #include "core/eccheck_engine.hpp"
 #include "core/fabric_engine.hpp"
+#include "core/placement.hpp"
 #include "core/session.hpp"
 #include "dnn/checkpoint_gen.hpp"
 #include "net/transport.hpp"
@@ -140,9 +142,9 @@ std::vector<std::uint64_t> digests_of(const std::vector<dnn::StateDict>& v) {
   return out;
 }
 
-cluster::ClusterConfig vc_config(int gpus) {
+cluster::ClusterConfig vc_config(int gpus, int nodes = kNodes) {
   cluster::ClusterConfig cfg;
-  cfg.num_nodes = kNodes;
+  cfg.num_nodes = nodes;
   cfg.gpus_per_node = gpus;
   return cfg;
 }
@@ -196,6 +198,183 @@ TEST(FabricEngine, VirtualFabricSaveMatchesSimulatorEngineByteExact) {
   for (int node = 0; node < kNodes; ++node)
     expect_identical(snapshot(fab_vc.host(node)), snapshot(sim.host(node)),
                      "node " + std::to_string(node) + " after load");
+}
+
+// ---------------------------------------------------------------------------
+// Save traffic: every parity packet is XOR-reduced straight onto its parity
+// node, so a full save moves exactly the simulator's accounted volume
+// (core::actual_comm_volume) and no ring all-reduce bytes, and a packet
+// slot that is pure padding travels nowhere.
+// ---------------------------------------------------------------------------
+
+/// One worker's shard: a single u8 tensor of `bytes` seeded bytes.
+dnn::StateDict sized_shard(int w, std::size_t bytes) {
+  dnn::StateDict sd;
+  sd.metadata()["worker"] = std::int64_t{w};
+  dnn::Tensor t(dnn::DType::kU8, {static_cast<std::int64_t>(bytes)});
+  fill_random(t.bytes(), 1000 + static_cast<std::uint64_t>(w));
+  sd.add_tensor("w" + std::to_string(w), std::move(t));
+  return sd;
+}
+
+struct SaveTraffic {
+  std::uint64_t send_bytes = 0;  ///< send_buffer payload bytes
+  int ring_steps = 0;            ///< ring all-reduce sends (":ar" tasks)
+};
+
+/// Full-membership fabric_save of `shards` as version 1 on a fresh
+/// VirtualFabric; returns the save's traffic.
+SaveTraffic traffic_of_save(cluster::VirtualFabric& fabric,
+                            const core::ECCheckConfig& cfg,
+                            const std::vector<dnn::StateDict>& shards) {
+  const auto rep = core::fabric_save(fabric, cfg, pointers(shards), 1);
+  SaveTraffic t;
+  auto it = rep.stats.find("net.send.bytes");
+  if (it != rep.stats.end()) t.send_bytes = it->second;
+  const sim::Timeline& tl = fabric.cluster().timeline();
+  for (std::size_t id = 0; id < tl.task_count(); ++id) {
+    const std::string& label = tl.task(static_cast<sim::TaskId>(id)).label;
+    if (label.size() >= 3 && label.compare(label.size() - 3, 3, ":ar") == 0)
+      ++t.ring_steps;
+  }
+  return t;
+}
+
+core::Placement placement_of(int k, int m, int g) {
+  core::PlacementConfig pc;
+  pc.num_nodes = k + m;
+  pc.gpus_per_node = g;
+  pc.k = k;
+  pc.m = m;
+  return core::plan_placement(pc);
+}
+
+core::ECCheckConfig shape_config(int k, int m) {
+  core::ECCheckConfig cfg;
+  cfg.k = k;
+  cfg.m = m;
+  cfg.packet_size = kib(4);
+  return cfg;
+}
+
+TEST(FabricEngine, FullSaveMovesExactlyTheDirectReduceVolume) {
+  struct Shape {
+    int k, m, g;
+  };
+  for (const Shape sh : {Shape{2, 2, 1}, Shape{2, 2, 2}, Shape{3, 1, 3},
+                         Shape{2, 3, 2}}) {
+    SCOPED_TRACE("k=" + std::to_string(sh.k) + " m=" + std::to_string(sh.m) +
+                 " g=" + std::to_string(sh.g));
+    const core::ECCheckConfig cfg = shape_config(sh.k, sh.m);
+    const std::size_t P = cfg.packet_size;
+    const std::size_t B = 4;
+    const int n = sh.k + sh.m, W = n * sh.g;
+    std::vector<dnn::StateDict> shards;
+    for (int w = 0; w < W; ++w)
+      shards.push_back(sized_shard(w, (B - 1) * P + 100));  // B packets each
+
+    cluster::VirtualCluster vc(vc_config(sh.g, n));
+    cluster::VirtualFabric fabric(vc);
+    const SaveTraffic t = traffic_of_save(fabric, cfg, shards);
+    const core::Placement plan = placement_of(sh.k, sh.m, sh.g);
+    EXPECT_EQ(static_cast<double>(t.send_bytes),
+              core::actual_comm_volume(plan, static_cast<double>(B * P))
+                  .total());
+    EXPECT_EQ(t.ring_steps, 0);
+
+    std::vector<dnn::StateDict> out;
+    ASSERT_TRUE(core::fabric_load(fabric, cfg, 1, out).success);
+    EXPECT_EQ(digests_of(out), digests_of(shards));
+  }
+}
+
+TEST(FabricEngine, PaddingSlotsShipNothing) {
+  const int k = 2, m = 2, g = 2, n = k + m, W = n * g;
+  const core::ECCheckConfig cfg = shape_config(k, m);
+  const std::size_t P = cfg.packet_size;
+  // Real packets per worker; B = 3. Group j = 1 pairs workers 1 and 5, both
+  // a single packet, so its parity packets 1 and 2 have no real
+  // participant at all.
+  const std::vector<std::size_t> used = {3, 1, 2, 3, 2, 1, 3, 2};
+  const std::size_t B = 3;
+  std::vector<dnn::StateDict> shards;
+  for (int w = 0; w < W; ++w)
+    shards.push_back(sized_shard(
+        w, (used[static_cast<std::size_t>(w)] - 1) * P + 1 + 13 * w));
+
+  cluster::VirtualCluster vc(vc_config(g, n));
+  cluster::VirtualFabric fabric(vc);
+  const SaveTraffic t = traffic_of_save(fabric, cfg, shards);
+  EXPECT_EQ(t.ring_steps, 0);
+
+  // Each padding slot (w, b) drops its relocation send (when w is not on
+  // its chunk's data node) and its partial send to every parity node that
+  // is not w's own node.
+  const core::Placement plan = placement_of(k, m, g);
+  std::uint64_t saved = 0;
+  for (int w = 0; w < W; ++w) {
+    const int node = w / g;
+    std::uint64_t per_slot =
+        node != plan.data_nodes[static_cast<std::size_t>(
+                    plan.chunk_of_worker(w))]
+            ? 1
+            : 0;
+    for (int pnode : plan.parity_nodes) per_slot += pnode != node ? 1 : 0;
+    saved += per_slot * (B - used[static_cast<std::size_t>(w)]) * P;
+  }
+  ASSERT_GT(saved, 0u);
+  EXPECT_EQ(static_cast<double>(t.send_bytes),
+            core::actual_comm_volume(plan, static_cast<double>(B * P))
+                    .total() -
+                static_cast<double>(saved));
+
+  // The stores still match the simulator engine's, padding included.
+  cluster::VirtualCluster sim(vc_config(g, n));
+  core::ECCheckEngine(cfg).save(sim, shards, 1);
+  for (int node = 0; node < n; ++node)
+    expect_identical(snapshot(vc.host(node)), snapshot(sim.host(node)),
+                     "node " + std::to_string(node));
+}
+
+// ---------------------------------------------------------------------------
+// Degraded save: with one rank dead, each survivor must end up holding
+// exactly what a full-membership save of the same shards leaves on it
+// (adopted participants pre-accumulate on the adopter; a dead parity node
+// gets no reduce), and the replaced rank's row must decode bit-exact.
+// ---------------------------------------------------------------------------
+
+TEST(FabricEngine, DegradedSaveMatchesFullSaveOnEverySurvivor) {
+  for (int g : {1, 2}) {
+    const int W = kNodes * g;
+    auto shards = dnn::make_sharded_checkpoint(gen_config(W, 31));
+    const auto want = digests_of(shards);
+    const core::ECCheckConfig cfg = engine_config();
+
+    cluster::VirtualCluster full_vc(vc_config(g));
+    cluster::VirtualFabric full(full_vc);
+    core::fabric_save(full, cfg, pointers(shards), 1);
+
+    for (int dead = 0; dead < kNodes; ++dead) {
+      SCOPED_TRACE("g=" + std::to_string(g) + " dead=" + std::to_string(dead));
+      std::vector<int> alive;
+      for (int node = 0; node < kNodes; ++node)
+        if (node != dead) alive.push_back(node);
+      cluster::VirtualCluster vc(vc_config(g));
+      cluster::VirtualFabric fabric(vc);
+      vc.kill(dead);
+      core::fabric_save(fabric, cfg, pointers(shards), 1,
+                        core::Membership::of(alive));
+      for (int node : alive)
+        expect_identical(snapshot(vc.host(node)), snapshot(full_vc.host(node)),
+                         "survivor " + std::to_string(node));
+
+      vc.replace(dead);
+      std::vector<dnn::StateDict> out;
+      const auto rep = core::fabric_load(fabric, cfg, 1, out);
+      ASSERT_TRUE(rep.success) << rep.detail;
+      EXPECT_EQ(digests_of(out), want);
+    }
+  }
 }
 
 TEST(FabricEngine, EngineInterfaceDispatchesFabricOverloads) {

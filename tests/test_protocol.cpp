@@ -1,6 +1,8 @@
 // Serialization-free protocol tests: decompose → pack → unpack round trips.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/rng.hpp"
 #include "core/protocol.hpp"
 #include "ec/crs_codec.hpp"
@@ -57,17 +59,26 @@ TEST(Protocol, PackUnpackRoundTrip) {
 TEST(Protocol, PaddingPacketsAreZeroed) {
   dnn::StateDict sd = sample_state_dict();
   Decomposition d = decompose(sd);
-  const std::size_t P = 4096;
+  // Large enough to come from the Buffer recycle list, so the packets
+  // pack_packets allocates uninitialized reuse the dirty blocks freed here.
+  const std::size_t P = kRecycleMinBytes;
   const std::size_t needed = packets_needed(d.tensor_bytes, P);
+  const std::size_t used_tail = d.tensor_bytes % P;
+  ASSERT_NE(used_tail, 0u) << "the sample must leave a tail to check";
+  {
+    std::vector<Buffer> dirty;
+    for (std::size_t i = 0; i < needed + 2; ++i) {
+      dirty.emplace_back(P, Buffer::Init::kUninitialized);
+      std::memset(dirty.back().data(), 0xA5, P);
+    }
+  }
   // Over-allocate by 2 packets (worker padding to uniform B).
   auto packets = pack_packets(d.tensor_data, P, needed + 2);
+  EXPECT_EQ(packets[needed], Buffer(P));
   EXPECT_EQ(packets[needed + 1], Buffer(P));
   // Tail padding in the last used packet is zero too.
-  const std::size_t used_tail = d.tensor_bytes % P;
-  if (used_tail != 0) {
-    auto tail = packets[needed - 1].subspan(used_tail, P - used_tail);
-    for (std::byte b : tail) EXPECT_EQ(b, std::byte{0});
-  }
+  auto tail = packets[needed - 1].subspan(used_tail, P - used_tail);
+  for (std::byte b : tail) EXPECT_EQ(b, std::byte{0});
 }
 
 TEST(Protocol, PackRejectsOverflow) {
