@@ -156,7 +156,8 @@ TaskId VirtualCluster::net_send(int src, int dst, std::size_t bytes,
   ECC_CHECK_MSG(src != dst, "net_send to self");
   fire_fault_hook({FabricOp::Kind::kNetSend, src, dst, bytes});
   // Edge kind = label up to the first ':' (send_buffer embeds the store key
-  // after the colon; that must not explode counter cardinality).
+  // after the colon; that must not explode counter cardinality). Collective
+  // labels carry their op after a '.', so each collective counts apart.
   const std::string kind = label.substr(0, label.find(':'));
   stats_.add("net." + kind + ".bytes", vbytes(bytes));
   stats_.add("net." + kind + ".count");

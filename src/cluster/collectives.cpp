@@ -44,7 +44,7 @@ std::vector<TaskId> broadcast(VirtualCluster& c, const std::vector<int>& nodes,
     int dst = nodes[i];
     if (dst == root) continue;
     finish[i] = c.net_send(root, dst, bytes, opts.deps, opts.idle_only,
-                           opts.label + ":bcast");
+                           opts.label + ".bcast");
     // Re-resolve both stores after the timed op (the rule stated at
     // cluster.cpp's send_buffer): its fault hook may have killed either end,
     // in which case host() throws and the in-flight bytes never land —
@@ -76,7 +76,7 @@ std::vector<TaskId> all_gather(VirtualCluster& c,
       if (carry[static_cast<std::size_t>(i)] >= 0)
         deps.push_back(carry[static_cast<std::size_t>(i)]);
       TaskId send = c.net_send(src, dst, c.host(src).get(key).size(), deps,
-                               opts.idle_only, opts.label + ":ag");
+                               opts.idle_only, opts.label + ".ag");
       c.host(dst).put(key, c.host(src).get(key).clone());
       next[static_cast<std::size_t>((i + 1) % p)] = send;
     }
@@ -124,7 +124,7 @@ std::vector<TaskId> ring_all_reduce_xor(VirtualCluster& c,
           if (carry[static_cast<std::size_t>(i)] >= 0)
             deps.push_back(carry[static_cast<std::size_t>(i)]);
           TaskId step = c.net_send(src, dst, seg_bytes, deps, opts.idle_only,
-                                   opts.label + ":ar");
+                                   opts.label + ".ar");
           if (phase == 0) step = c.cpu_xor(dst, seg_bytes, {step});
           next[static_cast<std::size_t>((i + 1) % p)] = step;
         }

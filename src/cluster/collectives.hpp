@@ -37,6 +37,8 @@ std::vector<TaskId> valid_tasks(const std::vector<TaskId>& tasks);
 struct CollectiveOptions {
   bool idle_only = false;           ///< pack into training-idle NIC windows
   std::vector<TaskId> deps;         ///< released when these finish
+  /// Timeline label and counter kind: each collective suffixes its own op
+  /// (".bcast", ".ag", ".ar"), so its bytes land in net.<label>.<op>.*.
   std::string label = "collective";
 };
 

@@ -12,7 +12,7 @@
 //
 // The split is expressed by drives(): a helper call names global ranks, and
 // each fabric executes the side(s) of the operation belonging to ranks it
-// drives. Code written against Fabric (core/fabric_protocol.cpp, the
+// drives. Code written against Fabric (core/fabric_engine.cpp, the
 // differential tests) runs unchanged on both and must produce byte-identical
 // stores — that is the contract the differential suite enforces.
 //

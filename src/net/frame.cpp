@@ -115,4 +115,27 @@ FrameHeader decode_frame_header(const std::uint8_t* in,
   return h;
 }
 
+void write_ack(const Socket& s, std::uint32_t src_rank, std::uint32_t seq,
+               std::uint64_t payload_crc, Millis io_timeout,
+               const std::string& ctx) {
+  FrameHeader ack;
+  ack.type = FrameType::kAck;
+  ack.src_rank = src_rank;
+  ack.aux = seq;
+  ack.payload_crc = payload_crc;
+  std::uint8_t out[kFrameHeaderBytes];
+  encode_frame_header(ack, out);
+  write_full(s, out, sizeof(out), io_timeout, ctx);
+}
+
+FrameHeader decode_ack(const std::uint8_t* in, const std::string& ctx) {
+  std::uint32_t key_len = 0;
+  bool has_trace = false;
+  const FrameHeader ack = decode_frame_header(in, &key_len, &has_trace);
+  ECC_CHECK_MSG(ack.type == FrameType::kAck && key_len == 0 && !has_trace &&
+                    ack.payload_len == 0,
+                ctx << ": expected ack, got " << frame_type_name(ack.type));
+  return ack;
+}
+
 }  // namespace eccheck::net

@@ -35,6 +35,9 @@
 #include <string>
 
 #include "common/bytes.hpp"
+#include "common/check.hpp"
+#include "common/crc64.hpp"
+#include "net/socket.hpp"
 
 namespace eccheck::net {
 
@@ -106,5 +109,57 @@ WireTraceContext decode_trace_context(const std::uint8_t* in);
 /// context from the stream before the key (decode_trace_context).
 FrameHeader decode_frame_header(const std::uint8_t* in, std::uint32_t* key_len,
                                 bool* has_trace);
+
+/// A received frame: its decoded header (trace context and key included)
+/// and its CRC-verified payload.
+struct Frame {
+  FrameHeader header;
+  Buffer payload;
+};
+
+/// The receive half of the frame protocol, shared by the data fabric and
+/// the service's control plane: read one frame — header, optional trace
+/// context, key, payload — through `read(dst, len)`, which fills exactly
+/// `len` bytes or throws. The frame must be of type `expect` and its
+/// payload must match the header CRC; any violation is a CheckFailure
+/// prefixed by `ctx`. The caller acks a frame it accepts (write_ack).
+template <typename ReadFn>
+Frame read_frame(ReadFn&& read, FrameType expect, const std::string& ctx) {
+  std::uint8_t hdr[kFrameHeaderBytes];
+  read(hdr, sizeof(hdr));
+  std::uint32_t key_len = 0;
+  bool has_trace = false;
+  Frame f;
+  f.header = decode_frame_header(hdr, &key_len, &has_trace);
+  if (has_trace) {
+    std::uint8_t tbuf[kTraceContextBytes];
+    read(tbuf, sizeof(tbuf));
+    f.header.trace = decode_trace_context(tbuf);
+  }
+  ECC_CHECK_MSG(f.header.type == expect,
+                ctx << ": got " << frame_type_name(f.header.type)
+                    << ", expected " << frame_type_name(expect));
+  if (key_len > 0) {
+    f.header.key.resize(key_len);
+    read(f.header.key.data(), key_len);
+  }
+  f.payload = Buffer(f.header.payload_len, Buffer::Init::kUninitialized);
+  if (!f.payload.empty()) read(f.payload.data(), f.payload.size());
+  ECC_CHECK_MSG(crc64(f.payload.span()) == f.header.payload_crc,
+                ctx << ": payload CRC mismatch — wire corruption");
+  return f;
+}
+
+/// Acknowledge an accepted frame on `s`: a bare kAck header from
+/// `src_rank` whose aux carries the stream's ack sequence `seq` and whose
+/// payload_crc echoes the acked frame's.
+void write_ack(const Socket& s, std::uint32_t src_rank, std::uint32_t seq,
+               std::uint64_t payload_crc, Millis io_timeout,
+               const std::string& ctx);
+
+/// Parse `in[kFrameHeaderBytes]` as an ack; anything else (another frame
+/// type, a key, trace context or payload) is a CheckFailure prefixed by
+/// `ctx`. The caller matches aux and payload_crc against what it sent.
+FrameHeader decode_ack(const std::uint8_t* in, const std::string& ctx);
 
 }  // namespace eccheck::net

@@ -131,19 +131,11 @@ void SendPump::drain_acks(Peer& p) {
       p.last_progress = Clock::now();
       if (p.ack_have < kFrameHeaderBytes) continue;
       p.ack_have = 0;
-      std::uint32_t key_len = 0;
-      bool has_trace = false;
       FrameHeader ack;
       try {
-        ack = decode_frame_header(p.ack_buf, &key_len, &has_trace);
+        ack = decode_ack(p.ack_buf, "bad ack header");
       } catch (const CheckFailure& e) {
-        fail_peer(p, std::string("bad ack header: ") + e.what());
-        return;
-      }
-      if (ack.type != FrameType::kAck || key_len != 0 || has_trace ||
-          ack.payload_len != 0) {
-        fail_peer(p, std::string("expected ack, got ") +
-                         frame_type_name(ack.type));
+        fail_peer(p, e.what());
         return;
       }
       auto& window = p.conn->window;

@@ -301,14 +301,7 @@ void SocketTransport::reap_acks(OutConn& c, std::size_t target,
                         Clock::now() - t0)
                         .count()));
     for (std::size_t off = 0; off < have; off += kFrameHeaderBytes) {
-      std::uint32_t ack_key_len = 0;
-      bool ack_trace = false;
-      FrameHeader ack =
-          decode_frame_header(buf + off, &ack_key_len, &ack_trace);
-      ECC_CHECK_MSG(ack.type == FrameType::kAck && ack_key_len == 0 &&
-                        !ack_trace && ack.payload_len == 0,
-                    ctx << ": expected ack, got "
-                        << frame_type_name(ack.type));
+      const FrameHeader ack = decode_ack(buf + off, ctx);
       // Acks are matched by the sequence the receiver stamped into aux, not
       // by queue position: within the open window they may be reconciled in
       // any order (a misordering peer is still verified frame by frame).
@@ -349,12 +342,6 @@ void SocketTransport::flush_acks(int peer) {
 void SocketTransport::buffered_read(InConn& c, void* dst, std::size_t len,
                                     const std::string& ctx) {
   std::byte* out = static_cast<std::byte*>(dst);
-  if (!opts_.scatter_gather) {
-    // Legacy plane (A/B baseline): exact pre-pipelining receive path, one
-    // read_full per header/key/payload.
-    read_full(c.sock, out, len, opts_.io_timeout, ctx);
-    return;
-  }
   while (len > 0) {
     if (c.rpos < c.rlen) {
       const std::size_t take = std::min(len, c.rlen - c.rpos);
@@ -418,21 +405,12 @@ void SocketTransport::send_frame(int dst, FrameType type,
       stats_->add("net.corrupt.injected");
       wire_payload = mangled.span();
     }
-    if (opts_.scatter_gather) {
-      // Zero-copy framing: header [+trace] [+key] and the payload leave in
-      // one gather write straight from their source buffers.
-      const IoSlice slices[2] = {{head.data(), head.size()},
-                                 {wire_payload.data(), wire_payload.size()}};
-      writev_full(c.sock, slices, 2, opts_.io_timeout, ctx);
-      stats_->add("net.send.writev_bytes", head.size() + wire_payload.size());
-    } else {
-      // Legacy copy-framing path (A/B baseline): one contiguous buffer for
-      // header+key, then the payload as its own write.
-      write_full(c.sock, head.data(), head.size(), opts_.io_timeout, ctx);
-      if (!wire_payload.empty())
-        write_full(c.sock, wire_payload.data(), wire_payload.size(),
-                   opts_.io_timeout, ctx);
-    }
+    // Zero-copy framing: header [+trace] [+key] and the payload leave in
+    // one gather write straight from their source buffers.
+    const IoSlice slices[2] = {{head.data(), head.size()},
+                               {wire_payload.data(), wire_payload.size()}};
+    writev_full(c.sock, slices, 2, opts_.io_timeout, ctx);
+    stats_->add("net.send.writev_bytes", head.size() + wire_payload.size());
     stats_->add("net.send.bytes", payload.size());
     stats_->add("net.send.count");
 
@@ -489,56 +467,30 @@ void SocketTransport::pump_frames(std::vector<PumpFrame> frames,
   throw CheckFailure(msg);
 }
 
-SocketTransport::Received SocketTransport::recv_frame(int src,
-                                                      FrameType expect) {
+Frame SocketTransport::recv_frame(int src, FrameType expect) {
   obs::ScopedSpan span(std::string("net.recv[") + tag() + "]");
   const std::string ctx = who(std::string("recv ") + frame_type_name(expect) +
                                   " from",
                               src);
   try {
     InConn& c = conn_from(src);
-    std::uint8_t hdr[kFrameHeaderBytes];
-    buffered_read(c, hdr, sizeof(hdr), ctx);
-    std::uint32_t key_len = 0;
-    bool has_trace = false;
-    Received r;
-    r.header = decode_frame_header(hdr, &key_len, &has_trace);
-    if (has_trace) {
-      std::uint8_t tbuf[kTraceContextBytes];
-      buffered_read(c, tbuf, sizeof(tbuf), ctx);
-      r.header.trace = decode_trace_context(tbuf);
-      // Link this recv under the sender's send span — the cross-process
-      // edge of the merged trace.
+    Frame r = read_frame(
+        [&](void* dst, std::size_t len) { buffered_read(c, dst, len, ctx); },
+        expect, ctx);
+    // Link this recv under the sender's send span — the cross-process edge
+    // of the merged trace.
+    if (r.header.trace.trace_id != 0)
       span.adopt(r.header.trace.trace_id, r.header.trace.parent_span);
-    }
-    ECC_CHECK_MSG(r.header.type == expect,
-                  ctx << ": got " << frame_type_name(r.header.type));
     ECC_CHECK_MSG(static_cast<int>(r.header.src_rank) == src,
                   ctx << ": frame claims rank " << r.header.src_rank);
-    if (key_len > 0) {
-      r.header.key.resize(key_len);
-      buffered_read(c, r.header.key.data(), key_len, ctx);
-    }
-    r.payload = Buffer(r.header.payload_len, Buffer::Init::kUninitialized);
-    if (!r.payload.empty())
-      buffered_read(c, r.payload.data(), r.payload.size(), ctx);
-    ECC_CHECK_MSG(crc64(r.payload.span()) == r.header.payload_crc,
-                  ctx << ": payload CRC mismatch — wire corruption");
     stats_->add("net.recv.bytes", r.payload.size());
     stats_->add("net.recv.count");
     span.set_bytes(r.payload.size());
-
-    FrameHeader ack;
-    ack.type = FrameType::kAck;
-    ack.src_rank = static_cast<std::uint32_t>(rank_);
     // Stamp the per-connection sequence of the frame being acknowledged:
     // both sides count acknowledged frames on this stream since the hello,
     // so the sender can reconcile windowed acks even out of order.
-    ack.aux = c.ack_seq++;
-    ack.payload_crc = r.header.payload_crc;
-    std::uint8_t ack_hdr[kFrameHeaderBytes];
-    encode_frame_header(ack, ack_hdr);
-    write_full(c.sock, ack_hdr, sizeof(ack_hdr), opts_.io_timeout, ctx);
+    write_ack(c.sock, static_cast<std::uint32_t>(rank_), c.ack_seq++,
+              r.header.payload_crc, opts_.io_timeout, ctx);
     return r;
   } catch (...) {
     stats_->add("net.io_error.count");
@@ -567,7 +519,7 @@ void SocketTransport::send_buffer(int src, int dst, const std::string& src_key,
     send_frame(dst, FrameType::kPut, dst_key, 0, store_.get(src_key).span(),
                opts_.ack_window);
   } else if (rank_ == dst) {
-    Received r = recv_frame(src, FrameType::kPut);
+    Frame r = recv_frame(src, FrameType::kPut);
     ECC_CHECK(r.header.key == dst_key);
     store_.put(r.header.key, std::move(r.payload));
   }
@@ -589,7 +541,7 @@ void SocketTransport::send_buffers(
     flush_acks(dst);
   } else if (rank_ == dst) {
     for (const auto& [src_key, dst_key] : pairs) {
-      Received r = recv_frame(src, FrameType::kPut);
+      Frame r = recv_frame(src, FrameType::kPut);
       ECC_CHECK(r.header.key == dst_key);
       store_.put(r.header.key, std::move(r.payload));
     }
@@ -640,7 +592,7 @@ void SocketTransport::broadcast(const std::vector<int>& nodes, int root,
       }
     }
   } else {
-    Received r = recv_frame(root, FrameType::kPut);
+    Frame r = recv_frame(root, FrameType::kPut);
     ECC_CHECK(r.header.key == key);
     store_.put(key, std::move(r.payload));
   }
@@ -674,7 +626,7 @@ void SocketTransport::all_gather(
                  store_.get(send_key).span(), opts_.ack_window);
     };
     auto do_recv = [&] {
-      Received r = recv_frame(left, FrameType::kPut);
+      Frame r = recv_frame(left, FrameType::kPut);
       ECC_CHECK_MSG(r.header.key == recv_key,
                     "all_gather step " << t << ": expected '" << recv_key
                                        << "', got '" << r.header.key << "'");
@@ -726,7 +678,7 @@ void SocketTransport::ring_all_reduce_xor(const std::vector<int>& nodes,
                    opts_.ack_window);
       };
       auto do_recv = [&] {
-        Received r = recv_frame(left, FrameType::kSegment);
+        Frame r = recv_frame(left, FrameType::kSegment);
         ECC_CHECK_MSG(r.header.aux == static_cast<std::uint32_t>(recv_idx) &&
                           r.payload.size() == recv_seg.size,
                       "ring step " << phase << "/" << t << ": got segment "

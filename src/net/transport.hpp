@@ -73,13 +73,6 @@ struct TransportOptions : RetryPolicy {
   /// full RTT of latency per frame). Off exists for A/B benchmarking.
   bool tcp_nodelay = true;
 
-  /// Scatter-gather framing: header, trace context, key and payload go out
-  /// in one writev directly from their source buffers. Off restores the
-  /// copy-into-a-frame-buffer path — together with ack_window=1 that is
-  /// exactly the pre-pipelining data plane, kept for A/B benchmarking
-  /// (bench/scale_transport measures the win against it).
-  bool scatter_gather = true;
-
   /// Directory backing the persistent remote store; empty disables
   /// remote_write/remote_read.
   std::string remote_dir;
@@ -243,13 +236,9 @@ class SocketTransport final : public cluster::Fabric {
   };
   void pump_frames(std::vector<PumpFrame> frames, const char* what);
 
-  struct Received {
-    FrameHeader header;
-    Buffer payload;
-  };
   /// One data frame from `src`: CRC-verify, ack, return. `expect` guards
   /// protocol desynchronisation.
-  Received recv_frame(int src, FrameType expect);
+  Frame recv_frame(int src, FrameType expect);
 
   std::string remote_path(const std::string& remote_key) const;
 

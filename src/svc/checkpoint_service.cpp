@@ -156,51 +156,19 @@ void send_control(const net::Socket& s, net::FrameType type,
   // payload CRC after verifying it.
   std::uint8_t ack_hdr[net::kFrameHeaderBytes];
   net::read_full(s, ack_hdr, sizeof(ack_hdr), io_timeout, ctx);
-  std::uint32_t ack_key_len = 0;
-  bool ack_trace = false;
-  net::FrameHeader ack =
-      net::decode_frame_header(ack_hdr, &ack_key_len, &ack_trace);
-  ECC_CHECK_MSG(ack.type == net::FrameType::kAck && ack_key_len == 0 &&
-                    !ack_trace,
-                ctx << ": expected ack, got "
-                    << net::frame_type_name(ack.type));
+  const net::FrameHeader ack = net::decode_ack(ack_hdr, ctx);
   ECC_CHECK_MSG(ack.payload_crc == h.payload_crc,
                 ctx << ": ack CRC mismatch — payload corrupted in flight");
 }
 
-ControlFrame recv_control(const net::Socket& s, net::FrameType expect,
-                          net::Millis io_timeout, const std::string& ctx) {
-  std::uint8_t hdr[net::kFrameHeaderBytes];
-  net::read_full(s, hdr, sizeof(hdr), io_timeout, ctx);
-  std::uint32_t key_len = 0;
-  bool has_trace = false;
-  ControlFrame r;
-  r.header = net::decode_frame_header(hdr, &key_len, &has_trace);
-  if (has_trace) {
-    std::uint8_t tbuf[net::kTraceContextBytes];
-    net::read_full(s, tbuf, sizeof(tbuf), io_timeout, ctx);
-    r.header.trace = net::decode_trace_context(tbuf);
-  }
-  ECC_CHECK_MSG(r.header.type == expect,
-                ctx << ": got " << net::frame_type_name(r.header.type)
-                    << ", expected " << net::frame_type_name(expect));
-  if (key_len > 0) {
-    r.header.key.resize(key_len);
-    net::read_full(s, r.header.key.data(), key_len, io_timeout, ctx);
-  }
-  r.payload = Buffer(r.header.payload_len, Buffer::Init::kUninitialized);
-  if (!r.payload.empty())
-    net::read_full(s, r.payload.data(), r.payload.size(), io_timeout, ctx);
-  ECC_CHECK_MSG(crc64(r.payload.span()) == r.header.payload_crc,
-                ctx << ": payload CRC mismatch — wire corruption");
-
-  net::FrameHeader ack;
-  ack.type = net::FrameType::kAck;
-  ack.src_rank = 0;
-  ack.payload_crc = r.header.payload_crc;
-  std::uint8_t ack_hdr[net::kFrameHeaderBytes];
-  net::encode_frame_header(ack, ack_hdr);
-  net::write_full(s, ack_hdr, sizeof(ack_hdr), io_timeout, ctx);
+net::Frame recv_control(const net::Socket& s, net::FrameType expect,
+                        net::Millis io_timeout, const std::string& ctx) {
+  net::Frame r = net::read_frame(
+      [&](void* dst, std::size_t len) {
+        net::read_full(s, dst, len, io_timeout, ctx);
+      },
+      expect, ctx);
+  net::write_ack(s, 0, 0, r.header.payload_crc, io_timeout, ctx);
   return r;
 }
 
@@ -219,7 +187,7 @@ ControlReply client_request(const net::Endpoint& server,
   net::set_tcp_nodelay(s, opts.tcp_nodelay);
   send_control(s, net::FrameType::kRequest, command, 0, span_of(args),
                opts.io_timeout, ctx);
-  ControlFrame resp = recv_control(s, net::FrameType::kResponse,
+  net::Frame resp = recv_control(s, net::FrameType::kResponse,
                                    opts.io_timeout, ctx);
   const double rtt_ms =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
@@ -533,7 +501,7 @@ void WorkerDaemon::run() {
     }
     std::string command;
     try {
-      ControlFrame req = recv_control(conn, net::FrameType::kRequest,
+      net::Frame req = recv_control(conn, net::FrameType::kRequest,
                                       cfg_.fabric_opts.io_timeout, ctx);
       command = req.header.key;
       std::uint32_t status = 0;
@@ -902,7 +870,7 @@ void Coordinator::liveness_loop() {
       continue;
     }
     try {
-      const ControlFrame req =
+      const net::Frame req =
           recv_control(conn, net::FrameType::kRequest, io, ctx);
       const std::string verb = req.header.key;
       const ParsedArgs pa = parse_args(string_of(req.payload));
@@ -1289,7 +1257,7 @@ void Coordinator::run() {
     net::Socket conn = std::move(queue_.front().conn);
     queue_.erase(queue_.begin());
     try {
-      ControlFrame req = recv_control(conn, net::FrameType::kRequest,
+      net::Frame req = recv_control(conn, net::FrameType::kRequest,
                                       cfg_.opts.io_timeout, "coordinator");
       std::uint32_t status = 0;
       const std::string body =

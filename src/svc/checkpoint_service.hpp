@@ -54,11 +54,6 @@ namespace eccheck::svc {
 // Control-channel framing (shared by client, coordinator, and workers).
 // ---------------------------------------------------------------------------
 
-struct ControlFrame {
-  net::FrameHeader header;
-  Buffer payload;
-};
-
 /// Send one acknowledged control frame: header+key+payload out, CRC-echo
 /// ack back. Unlike the fabric's pooled data path this works on any
 /// connected socket. While the global tracer is enabled and the calling
@@ -73,8 +68,8 @@ void send_control(const net::Socket& s, net::FrameType type,
 /// it. A stamped trace context lands in the returned header's `trace`
 /// field (the server adopts it around handling). Throws CheckFailure on
 /// timeout, EOF, or protocol desync.
-ControlFrame recv_control(const net::Socket& s, net::FrameType expect,
-                          net::Millis io_timeout, const std::string& ctx);
+net::Frame recv_control(const net::Socket& s, net::FrameType expect,
+                        net::Millis io_timeout, const std::string& ctx);
 
 /// Response status codes carried in the control frame's aux field.
 enum ControlStatus : std::uint32_t {

@@ -135,7 +135,7 @@ TEST(Collectives, RingAllReduceOddSizeValueAndClosedFormVolume) {
   // True per-step segments: aggregate ring volume is exactly 2(p-1)·total
   // (= p · the closed-form 2(p-1)/p·total per node), not 2(p-1)·p·⌈total/p⌉.
   const int p = 4;
-  EXPECT_EQ(d.at("net.collective.bytes"),
+  EXPECT_EQ(d.at("net.collective.ar.bytes"),
             2u * static_cast<std::uint64_t>(p - 1) * total);
   // One XOR per reduce-scatter receive, each of the received segment's size.
   EXPECT_EQ(d.at("cpu.xor.bytes"),

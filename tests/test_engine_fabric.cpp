@@ -219,7 +219,7 @@ dnn::StateDict sized_shard(int w, std::size_t bytes) {
 
 struct SaveTraffic {
   std::uint64_t send_bytes = 0;  ///< send_buffer payload bytes
-  int ring_steps = 0;            ///< ring all-reduce sends (":ar" tasks)
+  std::uint64_t ring_bytes = 0;  ///< ring all-reduce bytes
 };
 
 /// Full-membership fabric_save of `shards` as version 1 on a fresh
@@ -231,12 +231,8 @@ SaveTraffic traffic_of_save(cluster::VirtualFabric& fabric,
   SaveTraffic t;
   auto it = rep.stats.find("net.send.bytes");
   if (it != rep.stats.end()) t.send_bytes = it->second;
-  const sim::Timeline& tl = fabric.cluster().timeline();
-  for (std::size_t id = 0; id < tl.task_count(); ++id) {
-    const std::string& label = tl.task(static_cast<sim::TaskId>(id)).label;
-    if (label.size() >= 3 && label.compare(label.size() - 3, 3, ":ar") == 0)
-      ++t.ring_steps;
-  }
+  it = rep.stats.find("net.collective.ar.bytes");
+  if (it != rep.stats.end()) t.ring_bytes = it->second;
   return t;
 }
 
@@ -280,7 +276,7 @@ TEST(FabricEngine, FullSaveMovesExactlyTheDirectReduceVolume) {
     EXPECT_EQ(static_cast<double>(t.send_bytes),
               core::actual_comm_volume(plan, static_cast<double>(B * P))
                   .total());
-    EXPECT_EQ(t.ring_steps, 0);
+    EXPECT_EQ(t.ring_bytes, 0u);
 
     std::vector<dnn::StateDict> out;
     ASSERT_TRUE(core::fabric_load(fabric, cfg, 1, out).success);
@@ -305,7 +301,7 @@ TEST(FabricEngine, PaddingSlotsShipNothing) {
   cluster::VirtualCluster vc(vc_config(g, n));
   cluster::VirtualFabric fabric(vc);
   const SaveTraffic t = traffic_of_save(fabric, cfg, shards);
-  EXPECT_EQ(t.ring_steps, 0);
+  EXPECT_EQ(t.ring_bytes, 0u);
 
   // Each padding slot (w, b) drops its relocation send (when w is not on
   // its chunk's data node) and its partial send to every parity node that
